@@ -32,7 +32,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.autotune.cache import CacheEntry, PlanCache, PlanKey, plan_digest
-from repro.core.intensli import InTensLi, _match_u_dtype
+from repro.core.bind import match_u_dtype
+from repro.core.intensli import InTensLi
 from repro.core.plan import TtmPlan
 from repro.core.tuner import ExhaustiveTuner, enumerate_plans
 from repro.obs.tracer import active_tracer
@@ -190,7 +191,7 @@ class AutotuneSession:
         """``Y = X x_mode U`` through the cache (and refinement, if on)."""
         if not isinstance(x, DenseTensor):
             x = DenseTensor(np.asarray(x))
-        u = _match_u_dtype(u, x.data.dtype)
+        u = match_u_dtype(u, x.data.dtype)
         if u.ndim != 2:
             raise ShapeError(f"U must be 2-D, got {u.ndim}-D")
         if transpose_u:

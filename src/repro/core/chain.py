@@ -34,7 +34,7 @@ outputs); with a :class:`ChainPlan` (or none of either) it runs fused.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -42,7 +42,7 @@ import numpy as np
 from repro.core.plan import TtmPlan
 from repro.tensor.dense import DenseTensor
 from repro.tensor.layout import Layout
-from repro.util.dtypes import is_supported_dtype
+from repro.util.dtypes import canonical_dtype, is_supported_dtype
 from repro.util.errors import DtypeError, PlanError, ShapeError
 
 #: Largest chain the exact order optimizer accepts.  The subset DP is
@@ -93,12 +93,13 @@ def _coerce_steps(
 ) -> list[ChainStep]:
     """Normalize *steps* to :class:`ChainStep`, preserving the chain dtype.
 
-    Same policy as the executor's ``_check_inputs``: a matrix already in
-    the chain dtype passes through untouched; a *different* supported
-    float dtype is rejected (silently changing a float32 chain to
-    float64 is the upcast-and-copy bug this library exists to avoid);
-    non-float input (ints, bools, Python lists) is materialized in the
-    chain dtype — J x I_n matrices, negligible next to X.
+    Same policy as the executor prologue (:func:`repro.core.bind.bind`):
+    a matrix already in the chain dtype passes through untouched; a
+    *different* supported float dtype is rejected (silently changing a
+    float32 chain to float64 is the upcast-and-copy bug this library
+    exists to avoid); non-float input (ints, bools, Python lists) is
+    materialized in the chain dtype — J x I_n matrices, negligible next
+    to X.
     """
     out: list[ChainStep] = []
     for s in steps:
@@ -592,8 +593,8 @@ class ScratchPool:
         self, slot: int, shape: tuple[int, ...], layout: Layout, dtype
     ) -> DenseTensor:
         """A tensor of *shape* backed by the slot's reusable buffer."""
-        dt = np.dtype(dtype)
-        key = (slot, layout, dt.name)
+        dt = canonical_dtype(dtype)
+        key = (slot, layout, dt)
         n = math.prod(shape)
         buf = self._slots.get(key)
         if buf is None or buf.size < n:
@@ -602,13 +603,14 @@ class ScratchPool:
             self.allocations += 1
         else:
             self.reuses += 1
+        # Any prefix of a flat buffer reshapes contiguously in either order.
         view = buf[:n].reshape(shape, order=layout.numpy_order)
-        return DenseTensor(view, layout)
+        return DenseTensor._wrap(view, layout)
 
     def reserve(self, plan: ChainPlan) -> None:
         """Pre-size the slots a plan needs (at most two allocations)."""
         for slot, elements in enumerate(plan.scratch_elements):
-            key = (slot, plan.layout, plan.dtype)
+            key = (slot, plan.layout, canonical_dtype(plan.dtype))
             buf = self._slots.get(key)
             if buf is None or buf.size < elements:
                 self._slots[key] = np.empty(elements, dtype=plan.dtype)

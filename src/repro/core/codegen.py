@@ -1,13 +1,22 @@
 """Code generation: emit a specialized Python TTM for one plan (§4.3.2).
 
 The paper generates C++/OpenMP; this reproduction generates Python with
-the identical structure — a literal nested loop over the loop modes and
-an inner kernel call on reshaped *views* — then compiles it with
+the same structure — a loop nest over the loop modes around an inner
+kernel call on copy-free *views* — then compiles it with
 ``compile()``/``exec``.  The value mirrors the paper's: all plan logic is
-resolved at generation time, leaving straight-line code whose loop
-bounds, index expressions, and reshape extents are literals; the source
-is inspectable (``generate_source``) and the compiled callables are
-cached per plan.
+resolved at generation time, leaving straight-line code whose extents,
+strides and index expressions are literals; the source is inspectable
+(``generate_source``) and the compiled callables are cached per plan.
+
+Where the paper's compiler runs the nest in machine code, Python would
+run it in the interpreter, so every single-threaded BLAS plan hands the
+*whole* nest to NumPy instead: one ``np.matmul`` over an N-D reshaped,
+transposed or strided view whose leading axes are the loop modes.  The
+generated function then has no Python loop at all, and NumPy's C batch
+loop issues the same 2-D BLAS call per slice the literal nest would —
+the results are bit-identical.  Threaded plans keep a ``parfor`` over
+the outer loop modes; non-BLAS kernels, and ``batched=False`` plans
+whose loops do not collapse into a reshape, keep the literal nest.
 
 The generated reshapes are guaranteed to be views: component modes are a
 contiguous run of a contiguous tensor (Lemma 4.1), whose strides still
@@ -22,7 +31,6 @@ import math
 import numpy as np
 
 from repro.core.plan import Strategy, TtmPlan
-from repro.gemm.batched import gemm_batched
 from repro.gemm.blocked import gemm_blocked
 from repro.gemm.interface import blas_dtype_legal, gemm
 from repro.gemm.threaded import gemm_threaded
@@ -43,6 +51,17 @@ def _index_expr(plan: TtmPlan, loop_vars: dict[int, str]) -> str:
     return ", ".join(parts)
 
 
+def _inline_blas(plan: TtmPlan) -> bool:
+    """True when the inner kernel is a plain ``np.matmul``: the BLAS
+    kernel, or ``auto`` on BLAS-legal views (where it routes to BLAS)."""
+    if plan.kernel == "auto":
+        if not plan.views_blas_legal:
+            return False
+    elif plan.kernel != "blas":
+        return False
+    return blas_dtype_legal(plan.np_dtype)
+
+
 def _kernel_call(plan: TtmPlan) -> str:
     if plan.kernel_threads > 1:
         inner = "auto" if plan.kernel == "threaded" else plan.kernel
@@ -50,7 +69,7 @@ def _kernel_call(plan: TtmPlan) -> str:
             f"gemm_threaded({{a}}, {{b}}, out={{c}}, "
             f"threads={plan.kernel_threads}, kernel={inner!r})"
         )
-    if plan.kernel == "blas" and blas_dtype_legal(plan.np_dtype):
+    if _inline_blas(plan):
         # Fast path: call BLAS directly, skipping dispatch overhead.
         return "np.matmul({a}, {b}, out={c})"
     if plan.kernel in ("blas", "blocked"):
@@ -73,11 +92,7 @@ def _batched_form(plan: TtmPlan) -> str | None:
     """
     if plan.loop_threads > 1 or plan.kernel_threads > 1:
         return None
-    if plan.kernel not in ("blas", "auto"):
-        return None
-    if not blas_dtype_legal(plan.np_dtype):
-        return None
-    if plan.degree == 0:
+    if not _inline_blas(plan) or plan.degree == 0:
         return None
     i_n, p, j = plan.i_n, plan.component_extent, plan.j
     loops = plan.loop_modes
@@ -141,23 +156,19 @@ def _batched_form(plan: TtmPlan) -> str | None:
     return None
 
 
-def _batch_view_exprs(plan: TtmPlan) -> tuple[str, str, str, str]:
-    """Literal ``as_strided`` expressions for the batched operand views.
+def _batch_view_exprs(plan: TtmPlan) -> tuple[str, str]:
+    """Literal ``_as_strided`` expressions for the batched operand views.
 
-    Returns ``(x3_expr, y3_expr, x_offset, y_offset)`` where the offset
-    strings are linear forms in the outer loop variables (``'0'`` when no
-    outer loop remains).  All extents and byte strides are resolved to
-    literals at generation time — the generated body does no stride
-    arithmetic beyond the offset dot-product.
+    Each view has one axis per outer loop mode, then the merged batch
+    run, then the kernel's two matrix axes, so a single ``np.matmul``
+    iterates the whole loop nest in C.  All extents and byte strides are
+    literals resolved at generation time.
     """
     forward = plan.strategy is Strategy.FORWARD or plan.degree == 0
-    x_strides = element_strides(plan.shape, plan.layout)
-    y_strides = element_strides(plan.out_shape, plan.layout)
     outer = plan.outer_loop_modes
     batch = plan.batch_modes
     comp = plan.component_modes
-    b = plan.batch_extent
-    i_n, p, j = plan.i_n, plan.component_extent, plan.j
+    itemsize = plan.itemsize
 
     def run_stride(strides, shape, run):
         # Merged-run element stride: the smallest stride of its non-size-1
@@ -165,112 +176,71 @@ def _batch_view_exprs(plan: TtmPlan) -> tuple[str, str, str, str]:
         effective = [m for m in run if shape[m] != 1]
         return min(strides[m] for m in effective) if effective else 1
 
-    itemsize = plan.itemsize
+    def view(name, shape, row_extent):
+        strides = element_strides(shape, plan.layout)
+        extents = [shape[m] for m in outer] + [plan.batch_extent]
+        steps = [strides[m] for m in outer]
+        steps.append(run_stride(strides, shape, batch))
+        rows = (row_extent, strides[plan.mode])
+        cols = (plan.component_extent, run_stride(strides, shape, comp))
+        for extent, step in (rows, cols) if forward else (cols, rows):
+            extents.append(extent)
+            steps.append(step)
+        byte_steps = tuple(step * itemsize for step in steps)
+        return f"_as_strided({name}, {tuple(extents)}, {byte_steps})"
 
-    def views(strides, shape, row_extent):
-        bs = run_stride(strides, shape, batch)
-        rs = strides[plan.mode]
-        cs = run_stride(strides, shape, comp)
-        if forward:
-            return (
-                (b, row_extent, p),
-                (bs * itemsize, rs * itemsize, cs * itemsize),
-            )
-        return (
-            (b, p, row_extent),
-            (bs * itemsize, cs * itemsize, rs * itemsize),
-        )
-
-    x_extents, x_bstrides = views(x_strides, plan.shape, i_n)
-    y_extents, y_bstrides = views(y_strides, plan.out_shape, j)
-    x_off = " + ".join(
-        f"i{m}*{x_strides[m]}" for m in outer
-    ) or "0"
-    y_off = " + ".join(
-        f"i{m}*{y_strides[m]}" for m in outer
-    ) or "0"
-    x3 = f"_as_strided(xf[{{off}}:], {x_extents}, {x_bstrides})"
-    y3 = f"_as_strided(yf[{{off}}:], {y_extents}, {y_bstrides})"
-    return x3, y3, x_off, y_off
+    return view("x", plan.shape, plan.i_n), view("y", plan.out_shape, plan.j)
 
 
 def _generic_batched_source(plan: TtmPlan) -> list[str] | None:
     """Body lines for the batch-modes execution shape, or None.
 
     Applies whenever the plan marks a batchable run and the inner kernel
-    is the BLAS fast path: the batched run becomes one literal
-    ``np.matmul`` over rank-3 strided views, any outer loop-mode residue
-    stays a literal (or parfor-driven) nest.  Unlike
-    :func:`_batched_form`'s full-collapse reshapes, this handles partial
-    collapses — the general engine the interpreter executor also uses.
+    is the BLAS fast path.  Single-threaded, the whole loop nest is one
+    literal ``np.matmul`` over N-D strided views (no Python loop at
+    all); with ``P_L > 1`` a ``parfor`` splits the outer loop modes, or
+    the batch run when there are none.  Unlike :func:`_batched_form`'s
+    full-collapse reshapes, this handles partial collapses — the same
+    geometry the interpreter's batched engine walks.
     """
     if not plan.batch_modes:
         return None
-    if plan.kernel_threads > 1 or plan.kernel not in ("blas", "auto"):
-        return None
-    if not blas_dtype_legal(plan.np_dtype):
+    if plan.kernel_threads > 1 or not _inline_blas(plan):
         return None
     forward = plan.strategy is Strategy.FORWARD or plan.degree == 0
-    x3_t, y3_t, x_off, y_off = _batch_view_exprs(plan)
-    call = "np.matmul(u, x3, out=y3)" if forward else "np.matmul(x3, ut, out=y3)"
+    x_view, y_view = _batch_view_exprs(plan)
+    call = "np.matmul(u, {x}, out={y})" if forward else (
+        "np.matmul({x}, ut, out={y})"
+    )
     indent = "    "
     lines: list[str] = []
-    lines.append(f"{indent}xf = x.reshape(-1, order='A')")
-    lines.append(f"{indent}yf = y.reshape(-1, order='A')")
     if not forward:
         lines.append(f"{indent}ut = u.T")
-    outer = plan.outer_loop_modes
-    if not outer:
-        lines.append(f"{indent}x3 = " + x3_t.format(off="0"))
-        lines.append(f"{indent}y3 = " + y3_t.format(off="0"))
-        if plan.loop_threads > 1 and plan.batch_extent > 1:
-            # No outer nest to split: chunk the batch run over P_L workers.
-            n_chunks = min(plan.loop_threads, plan.batch_extent)
-            chunk = math.ceil(plan.batch_extent / n_chunks)
-            inner = call.replace("x3", "x3[lo:hi]").replace("y3", "y3[lo:hi]")
-            lines.append(f"{indent}def body(_index):")
-            lines.append(f"{indent}    lo = _index[0] * {chunk}")
-            lines.append(
-                f"{indent}    hi = min(lo + {chunk}, {plan.batch_extent})"
-            )
-            lines.append(f"{indent}    {inner}")
-            lines.append(
-                f"{indent}parfor(({n_chunks},), body, "
-                f"threads={plan.loop_threads})"
-            )
-        else:
-            lines.append(f"{indent}{call}")
-        return lines
-
-    body_lines = [
-        "x3 = " + x3_t.format(off=x_off),
-        "y3 = " + y3_t.format(off=y_off),
-        call,
-    ]
-    loop_vars = {m: f"i{m}" for m in outer}
-    if plan.loop_threads > 1:
-        var_tuple = ", ".join(loop_vars[m] for m in outer)
+    lines.append(f"{indent}x3 = {x_view}")
+    lines.append(f"{indent}y3 = {y_view}")
+    threads = plan.loop_threads
+    if threads > 1 and plan.outer_loop_modes:
         lines.append(f"{indent}def body(_index):")
-        if len(outer) > 1:
-            lines.append(f"{indent}    {var_tuple} = _index")
-        else:
-            lines.append(f"{indent}    ({var_tuple},) = _index")
-        for bl in body_lines:
-            lines.append(f"{indent}    {bl}")
-        extents = plan.outer_loop_extents
         lines.append(
-            f"{indent}parfor({extents!r}, body, threads={plan.loop_threads})"
+            f"{indent}    " + call.format(x="x3[_index]", y="y3[_index]")
         )
+        lines.append(
+            f"{indent}parfor({plan.outer_loop_extents!r}, body, "
+            f"threads={threads})"
+        )
+    elif threads > 1 and plan.batch_extent > 1:
+        # No outer nest to split: chunk the batch run over P_L workers.
+        n_chunks = min(threads, plan.batch_extent)
+        chunk = math.ceil(plan.batch_extent / n_chunks)
+        lines.append(f"{indent}def body(_index):")
+        lines.append(f"{indent}    lo = _index[0] * {chunk}")
+        lines.append(f"{indent}    hi = min(lo + {chunk}, {plan.batch_extent})")
+        lines.append(
+            f"{indent}    " + call.format(x="x3[lo:hi]", y="y3[lo:hi]")
+        )
+        lines.append(f"{indent}parfor(({n_chunks},), body, threads={threads})")
     else:
-        depth = 0
-        for m in outer:
-            lines.append(
-                f"{indent}{'    ' * depth}for {loop_vars[m]} in "
-                f"range({plan.shape[m]}):"
-            )
-            depth += 1
-        for bl in body_lines:
-            lines.append(f"{indent}{'    ' * depth}{bl}")
+        lines.append(indent + call.format(x="x3", y="y3"))
     return lines
 
 
@@ -348,6 +318,16 @@ def generate_source(plan: TtmPlan, function_name: str = "inttm") -> str:
     return "\n".join(lines) + "\n"
 
 
+def _as_strided(base: np.ndarray, shape, strides) -> np.ndarray:
+    """A strided view of contiguous *base* from its first element.
+
+    ``np.lib.stride_tricks.as_strided`` without its per-call
+    array-interface round trip (several microseconds, which dominate a
+    small kernel); NumPy still checks the view stays inside *base*.
+    """
+    return np.ndarray(shape, base.dtype, base, 0, strides)
+
+
 def compile_plan(plan: TtmPlan):
     """Compile (and cache) the specialized TTM callable for *plan*.
 
@@ -360,9 +340,8 @@ def compile_plan(plan: TtmPlan):
     source = generate_source(plan)
     namespace = {
         "np": np,
-        "_as_strided": np.lib.stride_tricks.as_strided,
+        "_as_strided": _as_strided,
         "gemm": gemm,
-        "gemm_batched": gemm_batched,
         "gemm_blocked": gemm_blocked,
         "gemm_threaded": gemm_threaded,
         "parfor": parfor,

@@ -16,6 +16,7 @@ The top-level :func:`repro.ttm` wraps a module-wide default instance.
 from __future__ import annotations
 
 import logging
+import os
 from typing import Sequence
 
 import numpy as np
@@ -28,15 +29,15 @@ from repro.core.chain import (
     execute_chain,
     plan_chain,
 )
+from repro.core.bind import BoundPlan, bind, match_u_dtype
 from repro.core.codegen import compile_plan
 from repro.core.estimator import ParameterEstimator
-from repro.core.inttm import ttm_inplace
+from repro.core.inttm import run_interpreted
 from repro.core.plan import TtmPlan
 from repro.core.threads import DEFAULT_PTH_BYTES
 from repro.core.tiling import (
     TilingPlanner,
     execute_tiled,
-    tiling_opportunity,
     ttm_stream as _ttm_stream,
 )
 from repro.gemm.bench import (
@@ -48,37 +49,18 @@ from repro.gemm.bench import (
 from repro.obs.tracer import active_tracer
 from repro.resilience.fallback import recoverable
 from repro.resilience.faults import active_faults, record_degradation
-from repro.resilience.memory import guard_memory
+from repro.resilience.memory import (
+    MEM_LIMIT_ENV,
+    exceeded_budget,
+    refuse_or_replan,
+)
 from repro.tensor.dense import DenseTensor
 from repro.tensor.layout import Layout
 from repro.util.dtypes import DEFAULT_DTYPE, canonical_dtype
-from repro.util.errors import DtypeError, ResourceError, ShapeError
+from repro.util.errors import ResourceError, ShapeError
 from repro.util.validation import check_finite_result, check_positive_int
 
 log = logging.getLogger("repro.core")
-
-
-def _match_u_dtype(u, x_dtype: np.dtype) -> np.ndarray:
-    """Normalize U against the tensor dtype: preserve, reject, or lift.
-
-    Same policy as the executor's input check: a matching float dtype
-    passes through untouched (no copy); a *different* supported float
-    dtype is rejected (silently changing precision is the bug this PR
-    removes); non-float input (ints, lists) is materialized in the
-    tensor's dtype — a J x I_n matrix, negligible next to X.
-    """
-    u = np.asarray(u)
-    if u.dtype == x_dtype:
-        return u
-    if u.dtype.kind == "f":
-        from repro.util.dtypes import is_supported_dtype
-
-        if is_supported_dtype(u.dtype):
-            raise DtypeError(
-                f"U has dtype {u.dtype.name} but x is {x_dtype.name}; cast "
-                "U explicitly instead of relying on a silent conversion"
-            )
-    return np.asarray(u, dtype=x_dtype)
 
 
 class InTensLi:
@@ -150,6 +132,10 @@ class InTensLi:
         self._persistent_cache = None
         self._chain_cache: dict[tuple, ChainPlan] = {}
         self._chain_pool = ScratchPool()
+        # Call signature -> BoundPlan (repro.core.bind).  Keys hold only
+        # shapes, layouts, dtypes, modes and plans; cleared whenever the
+        # plan a signature resolves to may change.
+        self._bound: dict[tuple, BoundPlan] = {}
 
     # -- planning -------------------------------------------------------------
 
@@ -191,6 +177,7 @@ class InTensLi:
                     self.estimator.invalidate_thresholds()
         self._plan_cache.clear()
         self._chain_cache.clear()
+        self._bound.clear()
 
     def attach_plan_cache(self, cache) -> None:
         """Route plan lookups through a persistent cache.
@@ -205,6 +192,7 @@ class InTensLi:
         this instance.
         """
         self._persistent_cache = cache
+        self._bound.clear()
 
     def plan(
         self,
@@ -325,7 +313,7 @@ class InTensLi:
         shape_t = tuple(int(s) for s in shape)
         sig = tuple((int(m), int(j)) for m, j in steps)
         order_key = order if isinstance(order, str) else tuple(order)
-        key = (shape_t, sig, layout, dt.name, self.max_threads, order_key)
+        key = (shape_t, sig, layout, dt, self.max_threads, order_key)
         tracer = active_tracer()
         if not tracer.enabled:
             return self._plan_chain_impl(key, shape_t, sig, layout, dt, order)
@@ -397,7 +385,7 @@ class InTensLi:
                 mode, matrix = s.mode, s.matrix
             else:
                 mode, matrix = int(s[0]), s[1]
-            matrix = _match_u_dtype(matrix, x.data.dtype)
+            matrix = match_u_dtype(matrix, x.data.dtype)
             if matrix.ndim != 2:
                 raise ShapeError(
                     f"chain step at mode {mode} must be 2-D, got "
@@ -451,7 +439,7 @@ class InTensLi:
 
         if not isinstance(x, DenseTensor):
             x = DenseTensor(np.asarray(x))
-        u = _match_u_dtype(u, x.data.dtype)
+        u = match_u_dtype(u, x.data.dtype)
         if u.ndim != 2:
             raise ShapeError(f"U must be 2-D (J x I_n), got {u.ndim}-D")
         tuner = ExhaustiveTuner(
@@ -463,6 +451,7 @@ class InTensLi:
         )
         best = result.best_plan
         self._plan_cache[best.cache_key()] = best
+        self._bound.clear()
         if self._persistent_cache is not None:
             self._persistent_cache.put_plan(
                 best.shape, best.mode, best.j, best.layout,
@@ -489,6 +478,7 @@ class InTensLi:
         plans = load_plans(path)
         for plan in plans:
             self._plan_cache[plan.cache_key()] = plan
+        self._bound.clear()
         return len(plans)
 
     # -- execution ------------------------------------------------------------
@@ -513,39 +503,55 @@ class InTensLi:
         the memory pre-flight guard swap in a lower-degree plan (smaller
         kernel working set) instead of raising
         :class:`~repro.util.errors.ResourceError` under memory pressure.
+
+        A repeated signature is a bound call: one dict lookup finds the
+        plan, footprint and compiled kernel bound on its first call
+        (:mod:`repro.core.bind`), and only the per-call configuration —
+        tracer, armed faults, the memory budget — is read again.
         """
         if not isinstance(x, DenseTensor):
             x = DenseTensor(np.asarray(x))
-        u = _match_u_dtype(u, x.data.dtype)
+        data = x.data
+        if type(u) is not np.ndarray or u.dtype != data.dtype:
+            u = match_u_dtype(u, data.dtype)
         if u.ndim != 2:
             raise ShapeError(f"U must be 2-D, got {u.ndim}-D")
         if transpose_u:
             u = u.T
         tracer = active_tracer()
-        if not tracer.enabled:
+        if tracer.enabled:
+            with tracer.span(
+                "ttm",
+                shape=list(x.shape),
+                mode=mode,
+                j=int(u.shape[0]),
+                layout=x.layout.name,
+                dtype=data.dtype.name,
+                executor=self.executor,
+            ):
+                plan = self.plan(
+                    x.shape, mode, u.shape[0], x.layout, dtype=data.dtype
+                )
+                return self.execute(
+                    plan, x, u, out=out,
+                    check_finite=check_finite, allow_replan=allow_replan,
+                )
+        key = (data.shape, x.layout, data.dtype, mode, u.shape, out is None)
+        bound = self._bound.get(key)
+        if self._persistent_cache is not None:
+            # The attached cache stays the source of truth (and keeps its
+            # hit counts): a promotion there replaces the plan object.
+            plan = self._plan_impl(
+                data.shape, mode, u.shape[0], x.layout, data.dtype
+            )
+            if bound is None or bound.plan is not plan:
+                bound = self._bound[key] = self._bind(plan, x, u, out)
+        elif bound is None:
             plan = self.plan(
-                x.shape, mode, u.shape[0], x.layout, dtype=x.data.dtype
+                data.shape, mode, u.shape[0], x.layout, dtype=data.dtype
             )
-            return self.execute(
-                plan, x, u, out=out,
-                check_finite=check_finite, allow_replan=allow_replan,
-            )
-        with tracer.span(
-            "ttm",
-            shape=list(x.shape),
-            mode=mode,
-            j=int(u.shape[0]),
-            layout=x.layout.name,
-            dtype=x.data.dtype.name,
-            executor=self.executor,
-        ):
-            plan = self.plan(
-                x.shape, mode, u.shape[0], x.layout, dtype=x.data.dtype
-            )
-            return self.execute(
-                plan, x, u, out=out,
-                check_finite=check_finite, allow_replan=allow_replan,
-            )
+            bound = self._bound[key] = self._bind(plan, x, u, out)
+        return self._run(bound, x, u, out, check_finite, allow_replan)
 
     def execute(
         self,
@@ -564,122 +570,122 @@ class InTensLi:
         (:mod:`repro.core.tiling`) and executes tile by tile; callers
         see the same output tensor either way.
         """
-        tiled = self._maybe_execute_tiled(plan, x, u, out, check_finite)
-        if tiled is not None:
-            return tiled
-        if self.executor == "interpreted":
-            return ttm_inplace(
-                x, u, plan=plan, out=out,
-                check_finite=check_finite, allow_replan=allow_replan,
+        if not isinstance(x, DenseTensor):
+            raise TypeError(
+                f"x must be a DenseTensor, got {type(x).__name__}; wrap "
+                "ndarrays so the storage layout is explicit"
             )
-        if x.shape != plan.shape or x.layout is not plan.layout:
-            raise ShapeError(
-                f"plan is for {plan.shape}/{plan.layout.name}, tensor is "
-                f"{x.shape}/{x.layout.name}"
-            )
-        if x.data.dtype != plan.np_dtype:
-            raise DtypeError(
-                f"plan is for dtype {plan.dtype}, tensor is "
-                f"{x.data.dtype.name}; re-plan for the tensor's dtype"
-            )
-        u = _match_u_dtype(u, plan.np_dtype)
-        if u.shape != (plan.j, plan.i_n):
-            raise ShapeError(
-                f"U shape {u.shape} != (J={plan.j}, I_n={plan.i_n})"
-            )
-        # Pre-flight the allocation before making it: memory pressure
-        # becomes a typed ResourceError (or a lower-degree replan) rather
-        # than an OOM kill.  The replanned plan keeps the signature, so
-        # the validations above still hold for it.
-        plan = guard_memory(
-            plan, allocate_out=out is None, allow_replan=allow_replan
-        )
-        if out is None:
-            out = DenseTensor.empty(plan.out_shape, plan.layout,
-                                    dtype=plan.dtype)
-        elif out.shape != plan.out_shape or out.layout is not plan.layout:
-            raise ShapeError(
-                f"out is {out.shape}/{out.layout.name}, plan needs "
-                f"{plan.out_shape}/{plan.layout.name}"
-            )
-        elif out.data.dtype != plan.np_dtype:
-            raise DtypeError(
-                f"out has dtype {out.data.dtype.name}, plan needs "
-                f"{plan.dtype}"
-            )
-        fn = compile_plan(plan)
-        tracer = active_tracer()
-        try:
-            faults = active_faults()
-            if faults is not None:
-                # Generated code may compile down to a raw np.matmul with
-                # no gemm-layer checkpoint inside, so the injection point
-                # for the whole compiled kernel sits at its dispatch.
-                faults.check("kernel-raise", kernel=plan.kernel,
-                             generated=True)
-            if tracer.enabled:
-                with tracer.span(
-                    "execute",
-                    executor="generated",
-                    kernel=plan.kernel,
-                    degree=plan.degree,
-                    batch_modes=list(plan.batch_modes),
-                    dtype=plan.dtype,
-                    flops=plan.total_flops,
-                ):
-                    fn(x.data, u, out.data)
-            else:
-                fn(x.data, u, out.data)
-        except BaseException as exc:
-            # Generated code dispatches kernels directly (no fallback
-            # chain inside the compiled loop nest), so a recoverable
-            # kernel failure degrades one level up: rerun through the
-            # interpreted executor, whose KernelChain retries tier by
-            # tier.  Overwrite mode rewrites every element, so a partial
-            # write from the failed run cannot survive.
-            if not recoverable(exc):
-                raise
-            log.warning(
-                "generated executor failed (%s: %s); degrading to the "
-                "interpreted executor", type(exc).__name__, exc,
-            )
-            record_degradation(
-                "kernel_fallbacks",
-                degraded=True,
-                degraded_from="generated",
-                degraded_to="interpreted",
-                degraded_error=type(exc).__name__,
-            )
-            return ttm_inplace(
-                x, u, plan=plan, out=out, check_finite=check_finite
-            )
-        if check_finite:
-            check_finite_result(out.data, kernel=plan.kernel, context="ttm")
-        return out
+        if type(u) is not np.ndarray:
+            u = np.asarray(u)
+        data = x.data
+        key = (plan, data.shape, x.layout, data.dtype, u.shape, u.dtype,
+               out is None)
+        bound = self._bound.get(key)
+        if bound is None:
+            bound = self._bound[key] = self._bind(plan, x, u, out)
+        return self._run(bound, x, u, out, check_finite, allow_replan)
 
-    def _maybe_execute_tiled(
+    def _bind(self, plan: TtmPlan, x: DenseTensor, u, out) -> BoundPlan:
+        return bind(plan, x, u, out, compiled=self.executor == "generated")
+
+    def _run(
+        self,
+        bound: BoundPlan,
+        x: DenseTensor,
+        u: np.ndarray,
+        out: DenseTensor | None,
+        check_finite: bool,
+        allow_replan: bool,
+    ) -> DenseTensor:
+        """Execute a bound call: budget, output, kernel, in that order."""
+        plan = bound.plan
+        u = bound.operand(u)
+        faults = active_faults()
+        # The call's one read of the memory configuration; the tiling
+        # decision and the guard both judge against this budget.
+        budget, engaged = exceeded_budget(
+            bound.need, faults, os.environ.get(MEM_LIMIT_ENV),
+            out_of_core=not x.is_inmem,
+        )
+        if budget is not None:
+            tiled = self._execute_tiled(plan, x, u, out, budget, check_finite)
+            if tiled is not None:
+                return tiled
+            if engaged:
+                # A replan keeps the signature, so the bound checks hold.
+                plan = refuse_or_replan(
+                    plan, bound.need, budget,
+                    allocate_out=out is None, allow_replan=allow_replan,
+                )
+        y = bound.output(out)
+        fn = bound.fn
+        if fn is None:
+            run_interpreted(plan, x, u, y)
+        else:
+            if plan is not bound.plan:
+                fn = compile_plan(plan)
+            try:
+                if faults is not None:
+                    # Generated code may compile down to a raw np.matmul
+                    # with no gemm-layer checkpoint inside, so the
+                    # injection point for the whole compiled kernel sits
+                    # at its dispatch.
+                    faults.check("kernel-raise", kernel=plan.kernel,
+                                 generated=True)
+                tracer = active_tracer()
+                if tracer.enabled:
+                    with tracer.span(
+                        "execute",
+                        executor="generated",
+                        kernel=plan.kernel,
+                        degree=plan.degree,
+                        batch_modes=list(plan.batch_modes),
+                        dtype=plan.dtype,
+                        flops=plan.total_flops,
+                    ):
+                        fn(x.data, u, y.data)
+                else:
+                    fn(x.data, u, y.data)
+            except BaseException as exc:
+                # Generated code dispatches kernels directly (no fallback
+                # chain inside the compiled kernel), so a recoverable
+                # kernel failure degrades one level up: rerun through the
+                # interpreter, whose KernelChain retries tier by tier.
+                # Overwrite mode rewrites every element, so a partial
+                # write from the failed run cannot survive.
+                if not recoverable(exc):
+                    raise
+                log.warning(
+                    "generated executor failed (%s: %s); degrading to the "
+                    "interpreted executor", type(exc).__name__, exc,
+                )
+                record_degradation(
+                    "kernel_fallbacks",
+                    degraded=True,
+                    degraded_from="generated",
+                    degraded_to="interpreted",
+                    degraded_error=type(exc).__name__,
+                )
+                run_interpreted(plan, x, u, y)
+        if check_finite:
+            check_finite_result(y.data, kernel=plan.kernel, context="ttm")
+        return y
+
+    def _execute_tiled(
         self,
         plan: TtmPlan,
         x: DenseTensor,
-        u,
+        u: np.ndarray,
         out: DenseTensor | None,
+        budget: int,
         check_finite: bool,
     ) -> DenseTensor | None:
-        """Reroute through tiling when the plan exceeds the budget.
+        """Reroute a call whose plan exceeds *budget* through tiling.
 
-        Returns None on the fast path (small in-memory call, budget
-        unknowable, or the footprint fits) and when tiling cannot help
-        (no splittable mode, budget below any kernel working set) — in
-        the latter case the classic guard downstream still gets to
+        Returns None when tiling cannot help (no splittable mode, budget
+        below any kernel working set) — the guard then still gets to
         replan or refuse, preserving the pre-tiling contract.
         """
-        if not isinstance(x, DenseTensor) or x.shape != plan.shape:
-            return None
-        budget = tiling_opportunity(
-            plan, x_inmem=x.is_inmem, out_given=out is not None
-        )
-        if budget is None:
-            return None
 
         def planner(shape, mode, j, layout, dtype=None):
             return self.plan(shape, mode, j, layout, dtype=dtype)
@@ -692,7 +698,6 @@ class InTensLi:
             return None
         if not tiling.tiled:
             return None
-        u = _match_u_dtype(u, plan.np_dtype)
 
         def run_tile(tile_plan, x_tile, u_arr, y_tile):
             return self.execute(tile_plan, x_tile, u_arr, out=y_tile)

@@ -23,6 +23,11 @@ precomputed once per call (the factories), the kernel callable is
 resolved once (no per-iteration registry lookups), and ``U^T`` for the
 backward strategy is derived once.
 
+Operands are validated by the prologue every executor shares
+(:func:`repro.core.bind.bind`); :func:`run_interpreted` is the loop
+itself, which the facade's interpreted executor calls on operands it
+has already bound.
+
 Total extra memory: one J x I_n transpose of U for the backward strategy
 (a view, not a copy) and nothing else.  This is what "in-place" means in
 the paper: the conventional implementation's tensor-sized matricization
@@ -32,10 +37,12 @@ buffers simply do not exist.
 from __future__ import annotations
 
 import math
+import os
 import time
 
 import numpy as np
 
+from repro.core.bind import bind
 from repro.core.plan import Strategy, TtmPlan
 from repro.obs.tracer import active_tracer
 from repro.parallel.parfor import parfor
@@ -45,12 +52,17 @@ from repro.resilience.fallback import (
     build_batched_tiers,
     build_gemm_tiers,
 )
-from repro.resilience.memory import guard_memory
+from repro.resilience.faults import active_faults
+from repro.resilience.memory import (
+    MEM_LIMIT_ENV,
+    exceeded_budget,
+    refuse_or_replan,
+)
 from repro.tensor.dense import DenseTensor
 from repro.tensor.layout import Layout
 from repro.tensor.views import BatchViewFactory, MatrixViewFactory
-from repro.util.dtypes import DEFAULT_DTYPE, canonical_dtype, is_supported_dtype
-from repro.util.errors import DtypeError, PlanError, ShapeError
+from repro.util.dtypes import DEFAULT_DTYPE, canonical_dtype
+from repro.util.errors import PlanError, ShapeError
 from repro.util.validation import (
     check_finite_result,
     check_mode,
@@ -114,64 +126,6 @@ def default_plan(
         batch_modes=batch,
         dtype=dt.name,
     )
-
-
-def _check_inputs(x: DenseTensor, u: np.ndarray, plan: TtmPlan) -> np.ndarray:
-    if not isinstance(x, DenseTensor):
-        raise TypeError(
-            f"x must be a DenseTensor, got {type(x).__name__}; wrap ndarrays "
-            "so the storage layout is explicit"
-        )
-    # Dtype policy: reject or preserve, never copy.  A silent
-    # ``asarray(u, dtype=float64)`` here used to upcast-and-copy float32
-    # operands — the exact allocation cost this library exists to avoid.
-    u = np.asarray(u)
-    if x.data.dtype != plan.np_dtype:
-        raise DtypeError(
-            f"plan was built for dtype {plan.dtype}, but x is "
-            f"{x.data.dtype.name}; re-plan for the tensor's dtype"
-        )
-    if u.dtype != plan.np_dtype:
-        if u.dtype.kind == "f" and is_supported_dtype(u.dtype):
-            raise DtypeError(
-                f"U has dtype {u.dtype.name} but the plan (and x) are "
-                f"{plan.dtype}; cast U explicitly — mixing float widths "
-                "would silently change the result's precision"
-            )
-        # Non-float input (ints, bools, Python lists): materialize in the
-        # plan dtype.  This is a J x I_n matrix, negligible next to X.
-        u = np.asarray(u, dtype=plan.np_dtype)
-    if u.ndim != 2:
-        raise ShapeError(f"U must be 2-D (J x I_n), got {u.ndim}-D")
-    if x.shape != plan.shape or x.layout is not plan.layout:
-        raise PlanError(
-            f"plan was built for shape {plan.shape} / {plan.layout.name}, "
-            f"got {x.shape} / {x.layout.name}"
-        )
-    if u.shape != (plan.j, plan.i_n):
-        raise ShapeError(
-            f"U shape {u.shape} does not match (J={plan.j}, I_n={plan.i_n})"
-        )
-    return u
-
-
-def _prepare_out(plan: TtmPlan, out: DenseTensor | None) -> DenseTensor:
-    if out is None:
-        return DenseTensor.empty(plan.out_shape, plan.layout, dtype=plan.dtype)
-    if not isinstance(out, DenseTensor):
-        raise TypeError(f"out must be a DenseTensor, got {type(out).__name__}")
-    if out.shape != plan.out_shape or out.layout is not plan.layout:
-        raise PlanError(
-            f"out has shape {out.shape} / {out.layout.name}, plan needs "
-            f"{plan.out_shape} / {plan.layout.name}"
-        )
-    if out.data.dtype != plan.np_dtype:
-        raise DtypeError(
-            f"out has dtype {out.data.dtype.name}, plan needs {plan.dtype}; "
-            "writing through a mismatched out would silently round every "
-            "element"
-        )
-    return out
 
 
 def _kernel_runner(plan: TtmPlan, accumulate: bool = False) -> KernelChain:
@@ -398,40 +352,52 @@ def ttm_inplace(
         plan = default_plan(
             x.shape, mode, u_arr.shape[0], x.layout, dtype=x.data.dtype.name
         )
-    u = _check_inputs(x, u, plan)
+    bound = bind(plan, x, u, out, compiled=False)
+    u = bound.operand(u)
     # Pre-flight: size the allocation before making it, so memory
     # pressure surfaces as a typed error (or a lower-degree replan)
-    # instead of an OOM kill mid-write.
-    plan = guard_memory(
-        plan, allocate_out=out is None, allow_replan=allow_replan
+    # instead of an OOM kill mid-write.  A replan keeps the signature,
+    # so the bound output checks still hold for it.
+    budget, _ = exceeded_budget(
+        bound.need, active_faults(), os.environ.get(MEM_LIMIT_ENV)
     )
-    y = _prepare_out(plan, out)
-    ut = u.T  # view; used by the backward kernel form
-
-    tracer = active_tracer()
-    if tracer.enabled:
-        with tracer.span(
-            "execute",
-            executor="interpreted",
-            shape=list(plan.shape),
-            mode=plan.mode,
-            j=plan.j,
-            layout=plan.layout.name,
-            degree=plan.degree,
-            batch_modes=list(plan.batch_modes),
-            kernel=plan.kernel,
-            dtype=plan.dtype,
-            flops=plan.total_flops,
-        ):
-            if plan.batch_modes:
-                _execute_batched(x, u, ut, y, plan, accumulate)
-            else:
-                _execute_looped(x, u, ut, y, plan, accumulate)
-    else:
-        if plan.batch_modes:
-            _execute_batched(x, u, ut, y, plan, accumulate)
-        else:
-            _execute_looped(x, u, ut, y, plan, accumulate)
+    if budget is not None:
+        plan = refuse_or_replan(
+            plan, bound.need, budget,
+            allocate_out=out is None, allow_replan=allow_replan,
+        )
+    y = bound.output(out)
+    run_interpreted(plan, x, u, y, accumulate)
     if check_finite:
         check_finite_result(y.data, kernel=plan.kernel, context="ttm")
     return y
+
+
+def run_interpreted(
+    plan: TtmPlan,
+    x: DenseTensor,
+    u: np.ndarray,
+    y: DenseTensor,
+    accumulate: bool = False,
+) -> None:
+    """Algorithm 2 on already-validated operands, writing through *y*."""
+    ut = u.T  # view; used by the backward kernel form
+    run = _execute_batched if plan.batch_modes else _execute_looped
+    tracer = active_tracer()
+    if not tracer.enabled:
+        run(x, u, ut, y, plan, accumulate)
+        return
+    with tracer.span(
+        "execute",
+        executor="interpreted",
+        shape=list(plan.shape),
+        mode=plan.mode,
+        j=plan.j,
+        layout=plan.layout.name,
+        degree=plan.degree,
+        batch_modes=list(plan.batch_modes),
+        kernel=plan.kernel,
+        dtype=plan.dtype,
+        flops=plan.total_flops,
+    ):
+        run(x, u, ut, y, plan, accumulate)

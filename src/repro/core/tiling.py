@@ -55,6 +55,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from repro.core.bind import match_u_dtype
 from repro.core.chain import ScratchPool
 from repro.core.inttm import default_plan, ttm_inplace
 from repro.core.plan import TtmPlan
@@ -64,8 +65,8 @@ from repro.perf.profiler import active_hot_counters
 from repro.resilience.faults import active_faults
 from repro.resilience.memory import (
     MEM_LIMIT_ENV,
-    PREFLIGHT_MIN_BYTES,
     available_bytes,
+    exceeded_budget,
     pinned_budget,
     plan_footprint_bytes,
 )
@@ -86,7 +87,6 @@ from repro.resilience.recovery import (
 )
 from repro.tensor.dense import DenseTensor, open_memmap_tensor
 from repro.tensor.layout import Layout
-from repro.util.dtypes import is_supported_dtype
 from repro.util.errors import (
     DtypeError,
     RecoveryError,
@@ -411,18 +411,17 @@ def tiling_opportunity(
 ) -> int | None:
     """The budget this call would exceed, or None on the fast path.
 
-    Mirrors the guard's engagement logic so the hot path pays the same
-    (near-zero) cost it already paid: small in-memory calls with no env
-    cap and no armed faults skip the probe entirely.  Out-of-core
-    operands always probe — that is what the flag is for.
+    The same single-read verdict the executor prologue takes
+    (:func:`~repro.resilience.memory.exceeded_budget`): small in-memory
+    calls with no env cap and no armed faults skip the probe entirely.
+    Out-of-core operands always probe — that is what the flag is for.
     """
-    need = plan_footprint_bytes(plan, allocate_out=not out_given)
-    forced = active_faults() is not None or MEM_LIMIT_ENV in os.environ
-    if x_inmem and not forced and need < PREFLIGHT_MIN_BYTES:
-        return None
-    budget = available_bytes()
-    if budget is None or need <= budget:
-        return None
+    budget, _ = exceeded_budget(
+        plan_footprint_bytes(plan, allocate_out=not out_given),
+        active_faults(),
+        os.environ.get(MEM_LIMIT_ENV),
+        out_of_core=not x_inmem,
+    )
     return budget
 
 
@@ -754,7 +753,7 @@ def ttm_tiled(
     """
     if not isinstance(x, DenseTensor):
         x = DenseTensor(np.asarray(x))
-    u = _match_stream_dtype(u, x.data.dtype)
+    u = match_u_dtype(u, x.data.dtype)
     if planner is None:
         planner = _default_planner
     tiling = None
@@ -824,19 +823,6 @@ class StreamChunk:
     lo: int
     hi: int
     data: DenseTensor
-
-
-def _match_stream_dtype(u, x_dtype: np.dtype) -> np.ndarray:
-    """The executor's U dtype policy: preserve, reject floats, lift ints."""
-    u = np.asarray(u)
-    if u.dtype == x_dtype:
-        return u
-    if u.dtype.kind == "f" and is_supported_dtype(u.dtype):
-        raise DtypeError(
-            f"U has dtype {u.dtype.name} but x is {x_dtype.name}; cast U "
-            "explicitly instead of relying on a silent conversion"
-        )
-    return np.asarray(u, dtype=x_dtype)
 
 
 def ttm_stream(
@@ -962,7 +948,7 @@ def ttm_stream(
                     f"chunks had {rest_shape}"
                 )
             saw_chunk = True
-            u_arr = _match_stream_dtype(u, x_chunk.data.dtype)
+            u_arr = match_u_dtype(u, x_chunk.data.dtype)
             hi = lo + x_chunk.shape[axis]
             n_chunks = i + 1
             if i < resume_upto:

@@ -47,9 +47,11 @@ from repro.resilience.faults import (
 from repro.resilience.memory import (
     MEM_LIMIT_ENV,
     available_bytes,
+    exceeded_budget,
     guard_memory,
     pinned_budget,
     plan_footprint_bytes,
+    refuse_or_replan,
 )
 from repro.resilience.recovery import (
     JOURNAL_SCHEMA,
@@ -85,6 +87,7 @@ __all__ = [
     "build_batched_tiers",
     "build_gemm_tiers",
     "describe_journal",
+    "exceeded_budget",
     "fallback_tiers",
     "fault_injection",
     "file_checksum",
@@ -98,6 +101,7 @@ __all__ = [
     "publish_file",
     "recoverable",
     "record_degradation",
+    "refuse_or_replan",
     "region_checksum",
     "resume_job",
     "verify_journal",

@@ -38,6 +38,12 @@ so concurrent serving workers don't see each other's pins) and serves
 that snapshot to every ``available_bytes()`` call inside the region.
 Armed ``alloc-fail`` faults still override a pin: determinism of the
 fault harness beats snapshot coherence.
+
+Within one call the budget is read **once**: :func:`exceeded_budget`
+takes the call's single read of ``$REPRO_MEM_LIMIT`` and armed faults,
+and both the tiling decision and the guard's verdict
+(:func:`refuse_or_replan`) consume its answer, so they can never see
+two different limits.
 """
 
 from __future__ import annotations
@@ -104,18 +110,21 @@ def available_bytes() -> int | None:
     to exercise the pressure paths without actually exhausting a test
     machine.
     """
-    faults = active_faults()
+    return _available(active_faults(), os.environ.get(MEM_LIMIT_ENV))
+
+
+def _available(faults, limit: str | None) -> int | None:
+    """:func:`available_bytes` given an already-read configuration."""
     if faults is not None and faults.check("alloc-fail"):
         return 0
     pinned = getattr(_pin_state, "budget", _UNPINNED)
     if pinned is not _UNPINNED:
         return pinned
-    override = os.environ.get(MEM_LIMIT_ENV)
-    if override:
+    if limit:
         try:
-            return max(0, int(override))
+            return max(0, int(limit))
         except ValueError:
-            log.warning("ignoring non-integer %s=%r", MEM_LIMIT_ENV, override)
+            log.warning("ignoring non-integer %s=%r", MEM_LIMIT_ENV, limit)
     try:
         with open("/proc/meminfo") as fh:
             for line in fh:
@@ -124,6 +133,32 @@ def available_bytes() -> int | None:
     except (OSError, ValueError, IndexError):
         pass
     return None
+
+
+def exceeded_budget(
+    need: int, faults, limit: str | None, *, out_of_core: bool = False
+) -> tuple[int | None, bool]:
+    """One call's memory verdict from one read of its configuration.
+
+    *faults* and *limit* are the call's single read of
+    :func:`~repro.resilience.faults.active_faults` and
+    ``$REPRO_MEM_LIMIT``.  Returns ``(budget, engaged)``: *budget* is
+    the available byte count *need* exceeds, or None when the call fits
+    or the budget is unknowable; *engaged* says whether the guard
+    applies at all (an env cap, armed faults, or a footprint of at least
+    :data:`PREFLIGHT_MIN_BYTES`).  Small in-memory calls with neither
+    skip the probe entirely; *out_of_core* operands always probe — the
+    tiling decision needs the budget even where the guard stands down.
+    """
+    engaged = (
+        faults is not None or limit is not None or need >= PREFLIGHT_MIN_BYTES
+    )
+    if not (engaged or out_of_core):
+        return None, False
+    avail = _available(faults, limit)
+    if avail is None or need <= avail:
+        return None, engaged
+    return avail, engaged
 
 
 def plan_footprint_bytes(plan, *, allocate_out: bool = True) -> int:
@@ -150,12 +185,22 @@ def guard_memory(plan, *, allocate_out: bool = True, allow_replan: bool = False)
     :class:`ResourceError` before anything was allocated.
     """
     need = plan_footprint_bytes(plan, allocate_out=allocate_out)
-    forced = active_faults() is not None or MEM_LIMIT_ENV in os.environ
-    if not forced and need < PREFLIGHT_MIN_BYTES:
+    avail, _ = exceeded_budget(
+        need, active_faults(), os.environ.get(MEM_LIMIT_ENV)
+    )
+    if avail is None:
         return plan
-    avail = available_bytes()
-    if avail is None or need <= avail:
-        return plan
+    return refuse_or_replan(
+        plan, need, avail, allocate_out=allocate_out, allow_replan=allow_replan
+    )
+
+
+def refuse_or_replan(
+    plan, need: int, avail: int, *, allocate_out: bool, allow_replan: bool
+):
+    """The guard's verdict on a plan whose *need* exceeds *avail* bytes:
+    a lower-degree replacement that fits (with ``allow_replan``), else
+    :class:`ResourceError`."""
     if allow_replan:
         replacement = _lower_degree_plan(plan, avail, allocate_out)
         if replacement is not None:

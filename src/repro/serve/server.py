@@ -49,7 +49,8 @@ import numpy as np
 
 from repro.autotune.cache import PlanCache, PlanKey
 from repro.autotune.store import PlanStore
-from repro.core.intensli import InTensLi, _match_u_dtype
+from repro.core.bind import match_u_dtype
+from repro.core.intensli import InTensLi
 from repro.obs.tracer import ROOT, active_tracer
 from repro.resilience.memory import pinned_budget
 from repro.serve.admission import AdmissionController
@@ -306,7 +307,7 @@ class TtmServer:
             raise OverloadError("server is not running", reason="lifecycle")
         if not isinstance(x, DenseTensor):
             x = DenseTensor(np.asarray(x))
-        u = _match_u_dtype(u, x.data.dtype)
+        u = match_u_dtype(u, x.data.dtype)
         if u.ndim != 2:
             raise ShapeError(f"U must be 2-D, got {u.ndim}-D")
         if transpose_u:

@@ -130,18 +130,26 @@ class DenseTensor:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _wrap(cls, data: np.ndarray, layout: Layout) -> "DenseTensor":
+    def _wrap(
+        cls,
+        data: np.ndarray,
+        layout: Layout,
+        strides: tuple[int, ...] | None = None,
+    ) -> "DenseTensor":
         """Wrap *data* without re-validating (internal hot paths only).
 
         The caller guarantees *data* is already contiguous in *layout*
-        order with a supported dtype — e.g. a slice it just allocated.
-        Skips the ``__init__`` checks, which dominate the cost of
-        constructing many small tensors (the serving coalescer's case).
+        order with a supported dtype — e.g. a slice it just allocated —
+        and, when it passes *strides*, that they are *data*'s element
+        strides.  Skips the ``__init__`` checks, which dominate the cost
+        of constructing many small tensors (the serving coalescer's case).
         """
         self = object.__new__(cls)
         self._data = data
         self._layout = layout
-        self._strides = element_strides(data.shape, layout)
+        self._strides = (
+            element_strides(data.shape, layout) if strides is None else strides
+        )
         self._inmem = not _memmap_backed(data)
         return self
 
@@ -169,7 +177,8 @@ class DenseTensor:
         """An uninitialized tensor (used for preallocating TTM outputs)."""
         layout = Layout.parse(layout)
         dt = DEFAULT_DTYPE if dtype is None else canonical_dtype(dtype)
-        return cls(
+        # A fresh buffer is contiguous in *layout* by construction.
+        return cls._wrap(
             np.empty(tuple(shape), dtype=dt, order=layout.numpy_order), layout
         )
 

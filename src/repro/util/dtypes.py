@@ -26,6 +26,16 @@ SUPPORTED_DTYPES: tuple[str, ...] = ("float16", "float32", "float64")
 DEFAULT_DTYPE = np.dtype(np.float64)
 
 
+#: The common spellings of every supported dtype — native dtype
+#: instances, names and scalar types — mapped to their dtype, so the usual
+#: arguments skip ``np.dtype`` construction and the slow ``dtype.name``.
+_COMMON_DTYPES: dict = {}
+for _name in SUPPORTED_DTYPES:
+    _dt = np.dtype(_name)
+    _COMMON_DTYPES.update({_dt: _dt, _name: _dt, _dt.type: _dt})
+del _name, _dt
+
+
 def canonical_dtype(dtype) -> np.dtype:
     """Normalize *dtype* to a supported :class:`numpy.dtype`.
 
@@ -33,6 +43,12 @@ def canonical_dtype(dtype) -> np.dtype:
     instances); raises :class:`DtypeError` for element types outside
     :data:`SUPPORTED_DTYPES` instead of guessing a coercion.
     """
+    try:
+        common = _COMMON_DTYPES.get(dtype)
+    except TypeError:  # unhashable: np.dtype below explains the refusal
+        common = None
+    if common is not None:
+        return common
     try:
         dt = np.dtype(dtype)
     except TypeError as exc:

@@ -27,6 +27,18 @@ class PlanError(ReproError, ValueError):
     """A TTM execution plan is malformed or inconsistent with its input."""
 
 
+class PlanMismatchError(ShapeError, PlanError):
+    """A call's operands do not fit the plan it is executed with.
+
+    Raised by the executor prologue (:func:`repro.core.bind.bind`) for
+    every shape or layout mismatch between ``x``, ``U`` or ``out`` and
+    the plan, whichever executor runs it.  It subclasses both
+    :class:`ShapeError` and :class:`PlanError`, the two classes the
+    facade and the interpreter raised for the same mistake before they
+    shared one prologue, so callers catching either keep working.
+    """
+
+
 class DtypeError(ReproError, TypeError):
     """An element type is unsupported or inconsistent across operands.
 

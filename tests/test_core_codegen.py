@@ -5,9 +5,12 @@ import pytest
 
 from repro.core.codegen import clear_cache, compile_plan, generate_source
 from repro.core.inttm import default_plan, ttm_inplace
+from repro.core.partition import available_modes_for_strategy, strategy_for
+from repro.core.plan import Strategy
 from repro.tensor.dense import DenseTensor
 from repro.tensor.layout import COL_MAJOR, ROW_MAJOR
-from tests.helpers import TTM_CASES, ttm_oracle
+from repro.testing import DEFAULT_CASES, DEGENERATE_CASES
+from tests.helpers import TTM_CASES, random_ttm_case, ttm_oracle
 
 
 def run_generated(plan, x, u):
@@ -65,15 +68,21 @@ class TestSourceStructure:
 
     def test_partial_collapse_batches_inner_run(self):
         # Degree 1 of an order-4 tensor: M_L = (0, 2) only partially
-        # collapses — mode 2 batches into a strided rank-3 matmul and
-        # mode 0 stays a literal outer loop.
+        # collapses into the batch run — mode 2 batches, and mode 0
+        # becomes one more axis of the same N-D strided view, so a single
+        # matmul runs the whole nest with no Python loop.
         plan = default_plan((9, 8, 7, 6), 1, 3, ROW_MAJOR, kernel="blas",
                             degree=1)
         assert plan.batch_modes == (2,)
         src = generate_source(plan)
-        assert "for i0 in range(9):" in src
-        assert "_as_strided(" in src
-        assert "np.matmul(u, x3, out=y3)" in src
+        assert "for " not in src
+        assert "x3 = _as_strided(x, (9, 7, 8, 6)," in src
+        assert src.count("np.matmul(u, x3, out=y3)") == 1
+        x, u, _ = random_ttm_case(plan.shape, plan.j, plan.mode, seed=3)
+        y = run_generated(plan, x, u)
+        np.testing.assert_allclose(
+            y.data, ttm_oracle(x.data, u, plan.mode), rtol=1e-12, atol=1e-12
+        )
 
     def test_blas_kernel_inlines_matmul(self):
         # An explicitly unbatched plan keeps the explicit nest with a
@@ -188,3 +197,77 @@ class TestGeneratedEquivalence:
         plan = default_plan(shape, mode, j, COL_MAJOR, kernel_threads=2)
         y = run_generated(plan, x, u)
         assert np.allclose(y.data, ttm_oracle(x.data, u, mode))
+
+
+def _looped_reference(plan):
+    """The per-iteration loop nest the generator emitted for single-threaded
+    BLAS plans before they became one matmul: a literal ``for`` per loop
+    mode around a 2-D ``np.matmul`` on reshaped views.  Kept as the
+    bit-identity reference for the loop-free form."""
+    sub = ", ".join(f"i{a}" if a in plan.loop_modes else ":"
+                    for a in range(plan.order))
+    order_kw = ", order='F'" if plan.layout is COL_MAJOR else ""
+    i_n, p, j = plan.i_n, plan.component_extent, plan.j
+    forward = plan.strategy is Strategy.FORWARD or plan.degree == 0
+    if plan.degree == 0:
+        x_shape, y_shape = (i_n, 1), (j, 1)
+    elif forward:
+        x_shape, y_shape = (i_n, p), (j, p)
+    else:
+        x_shape, y_shape = (p, i_n), (p, j)
+    lines = ["def looped(x, u, y):", "    ut = u.T"]
+    pad = "    "
+    for m in plan.loop_modes:
+        lines.append(f"{pad}for i{m} in range({plan.shape[m]}):")
+        pad += "    "
+    lines.append(f"{pad}x_sub = x[{sub}].reshape({x_shape}{order_kw})")
+    lines.append(f"{pad}y_sub = y[{sub}].reshape({y_shape}{order_kw})")
+    lines.append(pad + ("np.matmul(u, x_sub, out=y_sub)" if forward
+                        else "np.matmul(x_sub, ut, out=y_sub)"))
+    namespace = {"np": np}
+    exec("\n".join(lines), namespace)
+    return namespace["looped"]
+
+
+def _blas_plans():
+    """Every single-threaded BLAS plan over DEFAULT_CASES (plus the
+    zero-extent cases): each layout, float32/float64, every legal degree,
+    and both kernels that compile to np.matmul."""
+    for shape, j, mode in DEFAULT_CASES + DEGENERATE_CASES:
+        for layout in (ROW_MAJOR, COL_MAJOR):
+            strategy = strategy_for(len(shape), mode, layout)
+            top = len(available_modes_for_strategy(len(shape), mode, strategy))
+            for degree in range(top + 1):
+                for dtype in ("float32", "float64"):
+                    for kernel in ("auto", "blas"):
+                        yield pytest.param(
+                            default_plan(shape, mode, j, layout, degree=degree,
+                                         kernel=kernel, dtype=dtype),
+                            id=f"{shape}-m{mode}-J{j}-{layout.name}-d{degree}"
+                               f"-{dtype}-{kernel}",
+                        )
+
+
+class TestLoopFree:
+    @pytest.mark.parametrize("plan", _blas_plans())
+    def test_single_threaded_blas_plan_is_one_matmul(self, plan):
+        src = generate_source(plan)
+        assert "for " not in src
+        assert src.count("np.matmul(") == 1
+        rng = np.random.default_rng(23)
+        x = DenseTensor(rng.standard_normal(plan.shape), plan.layout,
+                        dtype=plan.dtype)
+        u = rng.standard_normal((plan.j, plan.i_n)).astype(plan.dtype)
+        got, want = (
+            DenseTensor.empty(plan.out_shape, plan.layout, dtype=plan.dtype)
+            for _ in range(2)
+        )
+        compile_plan(plan)(x.data, u, got.data)
+        _looped_reference(plan)(x.data, u, want.data)
+        np.testing.assert_array_equal(got.data, want.data)
+
+    def test_explicitly_unbatched_plan_keeps_its_loop(self):
+        # batched=False pins the per-iteration nest; it is not rewritten.
+        plan = default_plan((9, 8, 7, 6), 1, 3, ROW_MAJOR, kernel="blas",
+                            degree=1, batched=False)
+        assert "for i0 in range(9):" in generate_source(plan)
