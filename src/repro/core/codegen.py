@@ -187,6 +187,11 @@ def _batch_view_exprs(plan: TtmPlan) -> tuple[str, str]:
             extents.append(extent)
             steps.append(step)
         byte_steps = tuple(step * itemsize for step in steps)
+        # The view starts at the first element either way; a column-major
+        # tensor lends its bytes through its C-ordered transpose, the
+        # buffer form every NumPy accepts.
+        if plan.layout is Layout.COL_MAJOR:
+            name += ".T"
         return f"_as_strided({name}, {tuple(extents)}, {byte_steps})"
 
     return view("x", plan.shape, plan.i_n), view("y", plan.out_shape, plan.j)
@@ -319,7 +324,7 @@ def generate_source(plan: TtmPlan, function_name: str = "inttm") -> str:
 
 
 def _as_strided(base: np.ndarray, shape, strides) -> np.ndarray:
-    """A strided view of contiguous *base* from its first element.
+    """A strided view of C-contiguous *base* from its first element.
 
     ``np.lib.stride_tricks.as_strided`` without its per-call
     array-interface round trip (several microseconds, which dominate a
