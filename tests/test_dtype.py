@@ -63,6 +63,26 @@ class TestDtypeHelpers:
             with pytest.raises(DtypeError):
                 canonical_dtype(bad)
 
+    @pytest.mark.parametrize("spelling", [
+        "float16", "float32", "float64", "f4", "d", "<f8", ">f8", ">f4",
+        float, np.float32, np.dtype("float64"), np.dtype(">f2"),
+        "int64", "int32", "complex128", "bool", np.int32, np.dtype(">i4"),
+        "S10", object, [1, 2],
+    ])
+    def test_canonical_fast_path_accepts_the_same_set(self, spelling):
+        # The dict fast path must agree with np.dtype(...).name on every
+        # spelling, non-native byte order included.
+        try:
+            want = np.dtype(spelling)
+        except TypeError:
+            want = None
+        if want is None or want.name not in SUPPORTED_DTYPES:
+            with pytest.raises(DtypeError):
+                canonical_dtype(spelling)
+        else:
+            got = canonical_dtype(spelling)
+            assert got == want and got.byteorder == want.byteorder
+
     def test_is_supported(self):
         assert is_supported_dtype(np.float32)
         assert not is_supported_dtype(np.int32)
